@@ -17,6 +17,12 @@
 //!   independent by construction, so any seed must reproduce the threaded
 //!   run byte for byte — asserted by `tests/conformance.rs`.
 //!
+//! Where the schedule cannot show in the report, the scheduler offers
+//! only tasks that can move (`runnable_tasks`): under a zero-slack scheme
+//! (CC) a core at its window edge is left out, and the manager is offered
+//! only when no core or shard can move. Slack schemes keep the full pick
+//! space, which committed schedule seeds replay.
+//!
 //! Blocking points map one-to-one: where a threaded core would park on a
 //! condvar, `run_step` publishes the parked state on the [`ClockBoard`]
 //! and returns; the scheduler simply stops picking that core until the
@@ -27,14 +33,16 @@
 //! scheduler resumes every waiting core via
 //! [`ClockBoard::unpark_all_waiting`], with identical re-park semantics.
 
-use crate::clock::CoreState;
+use crate::clock::{ClockBoard, CoreState};
 use crate::config::TargetConfig;
 use crate::core_thread::StepOutcome;
 use crate::engine::{Engine, MgrState, MgrVerdict, RunOutcome};
 use crate::scheme::Scheme;
+use crate::shard::ShardSignal;
 use crate::stats::SimReport;
 use sk_det::{Interleaver, PickHook};
 use sk_isa::Program;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Which machinery executes a simulation.
@@ -179,8 +187,8 @@ impl DetEngine {
         self.engine.board.reset_stop();
 
         let n = self.engine.cfg.n_cores;
-        let n_shards = self.engine.shards.len();
         let board = self.engine.board.clone();
+        let zero_slack = self.engine.scheme().slack_bound() == Some(0);
         let t0 = Instant::now();
         // Dispatch timing mirrors the threaded backend's busy_ns
         // accounting: on one host thread, busy_ns / wall is the *exact*
@@ -208,45 +216,7 @@ impl DetEngine {
         let mut barren_rounds = 0u64;
 
         'sim: loop {
-            // The runnable set: every live core whose board state is not a
-            // parked one, plus the manager (always runnable — its iteration
-            // is cheap and drains whatever the cores published), plus one
-            // task per memory shard (task id `n + 1 + s`; equally cheap).
-            // A core at its window stays `Running` on the board and simply
-            // keeps answering `AtWindow` until the manager raises the
-            // window — a wasted pick, not an error.
-            runnable.clear();
-            for (i, &core_done) in done.iter().enumerate() {
-                if core_done
-                    || matches!(
-                        board.state(i),
-                        CoreState::Parked
-                            | CoreState::SyncWait
-                            | CoreState::MemWait
-                            | CoreState::Finished
-                    )
-                {
-                    continue;
-                }
-                // Sharded runs: a core at its window edge cannot progress
-                // until the coordinator raises the window, so skip the
-                // wasted pick — at 64+ cores these dominate the schedule
-                // under CC. Unsharded runnable sets are left exactly as
-                // before so previously recorded schedule logs replay.
-                if n_shards > 0 && !board.may_advance(i, board.local(i)) {
-                    continue;
-                }
-                runnable.push(i);
-            }
-            runnable.push(n); // the manager task
-            for s in 0..n_shards {
-                // Signal-gated (see the dispatch arm): an unsignalled
-                // shard has nothing to do, so it isn't runnable.
-                if self.engine.shard_signals[s].pending() {
-                    runnable.push(n + 1 + s); // the shard tasks
-                }
-            }
-
+            runnable_tasks(&mut runnable, &done, &board, &self.engine.shard_signals, zero_slack);
             let pick = runnable[self.il.pick(runnable.len())];
             let progressed = if pick == n {
                 let t = obs.as_ref().map(|_| Instant::now());
@@ -408,6 +378,52 @@ impl DetEngine {
     /// Finalize and assemble the run's report.
     pub fn into_report(self) -> SimReport {
         self.engine.into_report()
+    }
+}
+
+/// Fill `runnable` with the tasks the interleaver may pick this turn:
+/// core `i` (task `i`), the manager (task `n`) and memory shard `s`
+/// (task `n + 1 + s`).
+///
+/// Finished and parked cores and unsignalled shards are never offered.
+/// A core at its window edge can only answer `AtWindow`, so it is left
+/// out in sharded runs (at 64+ cores these picks dominate) and under
+/// zero-slack schemes (`slack_bound() == Some(0)`, i.e. CC), which also
+/// offer the manager only when nothing else can move: their report is
+/// the same under every schedule. Slack schemes keep the manager and,
+/// unsharded, every running core: their pick stream is what committed
+/// schedule seeds replay.
+fn runnable_tasks(
+    runnable: &mut Vec<usize>,
+    done: &[bool],
+    board: &ClockBoard,
+    shard_signals: &[Arc<ShardSignal>],
+    zero_slack: bool,
+) {
+    let n = done.len();
+    let gate_window = zero_slack || !shard_signals.is_empty();
+    runnable.clear();
+    for (i, &core_done) in done.iter().enumerate() {
+        let movable = !core_done
+            && !matches!(
+                board.state(i),
+                CoreState::Parked | CoreState::SyncWait | CoreState::MemWait | CoreState::Finished
+            )
+            && (!gate_window || board.may_advance(i, board.local(i)));
+        if movable {
+            runnable.push(i);
+        }
+    }
+    if !zero_slack {
+        runnable.push(n);
+    }
+    for (s, signal) in shard_signals.iter().enumerate() {
+        if signal.pending() {
+            runnable.push(n + 1 + s);
+        }
+    }
+    if runnable.is_empty() {
+        runnable.push(n);
     }
 }
 

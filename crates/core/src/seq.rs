@@ -8,10 +8,14 @@
 //!   cycle-by-cycle simulations ... when all threads are executed by one
 //!   single host core" (Table 2's KIPS column, and the denominator of
 //!   every speedup in Figure 8);
-//! * the **accuracy gold standard**: it is bit-deterministic, and the
-//!   parallel engine under the cycle-by-cycle scheme must match its cycle
-//!   counts exactly on data-race-free workloads (asserted by integration
-//!   tests).
+//! * the **accuracy gold standard**: it is bit-deterministic, the
+//!   deterministic backend under CC must reproduce its whole report —
+//!   every per-core counter, idle cycles included — and the threaded
+//!   engine under CC its cycle counts (asserted by integration tests).
+//!
+//! Idle accounting matches the parallel engines: a core without a
+//! workload thread is not stepped until its next message (the spawn) is
+//! due, so it counts no idle cycles while it waits.
 
 use crate::config::{StopCondition, TargetConfig};
 use crate::core_thread::CoreOutput;
@@ -78,10 +82,14 @@ pub fn run_sequential(program: &Program, cfg: &TargetConfig) -> SimReport {
             if core.finished() || core.stopped() {
                 continue;
             }
-            // Idle-skip cores with no workload thread and no pending
-            // messages (mirrors parking in the parallel engine).
-            if !core.running() && core.next_msg_ts().is_none() {
-                continue;
+            // A core with no workload thread sleeps until its next
+            // message is due (mirrors the parallel engines, which park
+            // it or jump its clock to the message).
+            if !core.running() {
+                match core.next_msg_ts() {
+                    Some(ts) if cycle >= ts => {}
+                    _ => continue,
+                }
             }
             // A sync waiter's clock is suspended until its reply timestamp
             // (mirrors sync-parking in the parallel engine).

@@ -35,7 +35,9 @@
 
 use sk_core::{run_det, run_parallel, DetEngine, Scheme, SimReport, TargetConfig};
 use sk_det::Schedule;
-use sk_kernels::{actors, micro, paper_suite, pipeline, treiber, worksteal, Scale, Workload};
+use sk_kernels::{
+    actors, irregular_suite, micro, paper_suite, pipeline, treiber, worksteal, Scale, Workload,
+};
 use std::path::PathBuf;
 
 /// Fixed seed budget per scheme — small enough for debug-mode CI, wide
@@ -421,6 +423,78 @@ fn many_core_schemes_complete_across_shard_counts() {
             c.mem_shards = shards;
             let r = run_parallel(&w.program, scheme, &c);
             assert_sane(&w, &r, &format!("64-core {scheme} shards={shards}"));
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The det scheduler's pick space: what a runnable-set change may touch.
+// ---------------------------------------------------------------------
+
+/// `(scheme, mem_shards, picks, decision_hash)` of `pipeline(4, 8)` under
+/// schedule seed 7. A slack scheme's pick stream is the fuzzing contract
+/// behind the seed corpus and every measured error figure, so these
+/// must never move; a change that alters them changes what every
+/// committed slack seed means.
+const SLACK_SCHEDULES: [(&str, usize, u64, u64); 6] = [
+    ("S10", 0, 1976, 0x9080b2f161365eb3),
+    ("S10", 2, 1455, 0xaeff197a91dab033),
+    ("SU", 0, 455, 0xaab906407f39d8b4),
+    ("SU", 2, 607, 0xc9e32a16b9d3c3dc),
+    ("A16", 0, 1413, 0xf181122c1c2c48c5),
+    ("A16", 2, 2447, 0x2cfd5a2a962ff911),
+];
+
+#[test]
+fn slack_scheme_pick_streams_are_pinned() {
+    let w = pipeline::pipeline(4, 8);
+    let got: Vec<_> = SLACK_SCHEDULES
+        .iter()
+        .map(|&(name, shards, ..)| {
+            let scheme: Scheme = name.parse().unwrap();
+            let mut det = DetEngine::new(&w.program, scheme, &sharded_cfg(4, shards), 7);
+            det.run();
+            let (picks, hash) = (det.picks(), det.decision_hash());
+            assert_eq!(printed_values(&det.into_report()), w.expected, "{name}: wrong output");
+            (name, shards, picks, hash)
+        })
+        .collect();
+    assert_eq!(got, SLACK_SCHEDULES, "a slack scheme's pick stream moved");
+}
+
+/// Zero-slack runs offer only tasks that can move: one pick per core
+/// that steps plus at most one manager pass per simulated cycle.
+#[test]
+fn cc_uses_at_most_one_pick_per_core_and_manager_per_cycle() {
+    let n = 8;
+    for w in irregular_suite(n, Scale::Test) {
+        let mut det = DetEngine::new(&w.program, Scheme::CycleByCycle, &cfg(n), 1);
+        det.run();
+        let picks = det.picks();
+        let r = det.into_report();
+        assert_eq!(printed_values(&r), w.expected, "{}: wrong output", w.name);
+        let per_cycle = picks as f64 / r.exec_cycles as f64;
+        assert!(
+            per_cycle <= (n + 1) as f64,
+            "{}: {per_cycle:.2} picks per simulated cycle exceeds {}",
+            w.name,
+            n + 1
+        );
+    }
+}
+
+/// Restricting the runnable set must not make CC depend on the seed:
+/// every seed still reproduces one report, with and without shards.
+#[test]
+fn cc_det_is_seed_independent_on_the_irregular_kernels() {
+    for w in irregular_suite(4, Scale::Test) {
+        for shards in [0usize, 2] {
+            let c = sharded_cfg(4, shards);
+            let baseline = run_det(&w.program, Scheme::CycleByCycle, &c, SEEDS[0]).fingerprint();
+            for seed in &SEEDS[1..] {
+                let fp = run_det(&w.program, Scheme::CycleByCycle, &c, *seed).fingerprint();
+                assert_eq!(fp, baseline, "{} CC shards={shards} depends on seed {seed}", w.name);
+            }
         }
     }
 }

@@ -142,7 +142,11 @@ impl Inner {
 
     #[inline(never)]
     fn overflow_lookup(&self, pno: u64) -> Option<&PageWords> {
-        let mut node = self.overflow.load(Ordering::Acquire);
+        self.overflow_scan(self.overflow.load(Ordering::Acquire), pno)
+    }
+
+    /// Find `pno` in the overflow list starting at `node`.
+    fn overflow_scan(&self, mut node: *mut OverflowNode, pno: u64) -> Option<&PageWords> {
         while !node.is_null() {
             let n = unsafe { &*node };
             if n.page_no == pno {
@@ -196,13 +200,14 @@ impl Inner {
 
     #[inline(never)]
     fn overflow_materialize(&self, pno: u64) -> &PageWords {
+        // Scan from the same head the CAS expects: a node another thread
+        // publishes after this snapshot fails the CAS and is scanned on
+        // the retry, so a page number is never installed twice.
+        let mut head = self.overflow.load(Ordering::Acquire);
         loop {
-            // Rescan from the head on every attempt: a CAS loss means a
-            // new node (possibly ours) was published in the meantime.
-            if let Some(p) = self.overflow_lookup(pno) {
+            if let Some(p) = self.overflow_scan(head, pno) {
                 return p;
             }
-            let head = self.overflow.load(Ordering::Acquire);
             let fresh = Box::into_raw(Box::new(OverflowNode {
                 page_no: pno,
                 words: new_page(),
@@ -213,7 +218,10 @@ impl Inner {
                     self.resident.fetch_add(1, Ordering::Relaxed);
                     return &unsafe { &*fresh }.words;
                 }
-                Err(_) => drop(unsafe { Box::from_raw(fresh) }),
+                Err(current) => {
+                    drop(unsafe { Box::from_raw(fresh) });
+                    head = current;
+                }
             }
         }
     }
@@ -491,6 +499,7 @@ impl Persist for FuncMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Arc, Barrier};
     use std::thread;
 
     #[test]
@@ -608,6 +617,43 @@ mod tests {
         for &a in &addrs {
             for t in 0..4 {
                 assert_eq!(m.read(a + 8 * t), 1, "lost write at {a:#x}+{t}");
+            }
+        }
+    }
+
+    #[test]
+    fn racing_first_touch_of_an_overflow_page_installs_it_once() {
+        // Every thread is released at once onto the same untouched
+        // overflow page; a thread that lost the install race must find
+        // the winner's page, not publish a second copy of it. A long
+        // list in front makes each scan slow, so the rival's install
+        // lands mid-scan in nearly every round.
+        const THREADS: u64 = 4;
+        const PREFILL: u64 = 256;
+        let m = FuncMemory::new();
+        let page = |i: u64| (1u64 << 45) + (i << PAGE_SHIFT);
+        for i in 0..PREFILL {
+            m.write(page(i), 1);
+        }
+        for round in 0..64 {
+            let base = page(PREFILL + round);
+            let gate = Arc::new(Barrier::new(THREADS as usize));
+            let threads: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (m, gate) = (m.clone(), gate.clone());
+                    thread::spawn(move || {
+                        gate.wait();
+                        m.write(base + 8 * t, t + 1);
+                    })
+                })
+                .collect();
+            for th in threads {
+                th.join().unwrap();
+            }
+            let want = (PREFILL + round + 1) as usize;
+            assert_eq!(m.resident_pages(), want, "round {round}: page installed twice");
+            for t in 0..THREADS {
+                assert_eq!(m.read(base + 8 * t), t + 1, "round {round}: lost write {t}");
             }
         }
     }
