@@ -19,12 +19,15 @@
 //!
 //! Where the schedule cannot show in the report, the scheduler offers
 //! only tasks that can move (`runnable_tasks`): under a zero-slack scheme
-//! (CC) a core at its window edge is left out, and the manager is offered
-//! only when no core or shard can move. Slack schemes keep the full pick
-//! space, which committed schedule seeds replay.
+//! (CC) a core at its window edge is left out, the manager is offered
+//! only when no core can move, and memory shards are not tasks at all —
+//! each manager pass serves the shards that were signalled or whose
+//! frontier lags ([`Engine::manager_iter`]). Slack schemes keep the full
+//! pick space, shard tasks included, which committed schedule seeds
+//! replay.
 //!
-//! Blocking points map one-to-one: where a threaded core would park on a
-//! condvar, `run_step` publishes the parked state on the [`ClockBoard`]
+//! Blocking points map one-to-one: where a threaded core would sleep on
+//! its doorbell, `run_step` publishes the parked state on the [`ClockBoard`]
 //! and returns; the scheduler simply stops picking that core until the
 //! manager's reply (or a window raise) makes it runnable again. The
 //! threaded backend's 10 ms liveness timeout — a *progress mechanism*
@@ -196,6 +199,7 @@ impl DetEngine {
         // serialization measurement the scaleout bench reports.
         let obs = self.engine.metrics().cloned();
         let mut st = MgrState::new(n, self.engine.ordered_sharded());
+        st.serve_shards = zero_slack && !self.engine.shards.is_empty();
         // Core i is permanently out of the schedule: its step returned
         // Stopped or Finished.
         let mut done = vec![false; n];
@@ -223,12 +227,15 @@ impl DetEngine {
                 let verdict = self.engine.manager_iter(None, &mut st);
                 if let (Some(o), Some(t)) = (&obs, t) {
                     o.manager.iterations.inc();
-                    o.manager.busy_ns.add(t.elapsed().as_nanos() as u64);
+                    // Inline shard service is booked to the shards.
+                    let ns = t.elapsed().as_nanos() as u64;
+                    o.manager.busy_ns.add(ns.saturating_sub(std::mem::take(&mut st.shard_ns)));
                 }
                 self.fold_adapt_decisions();
+                let shard_progress = std::mem::take(&mut st.shard_progress);
                 match verdict {
                     MgrVerdict::Finish | MgrVerdict::CheckpointReady => break 'sim,
-                    MgrVerdict::Continue { ingested, .. } => ingested > 0,
+                    MgrVerdict::Continue { ingested, .. } => ingested > 0 || shard_progress,
                 }
             } else if pick > n {
                 let si = pick - n - 1;
@@ -246,7 +253,7 @@ impl DetEngine {
                         o.shards[si].busy_ns.add(t.elapsed().as_nanos() as u64);
                     }
                     if progressed {
-                        self.engine.shard_signals[si].signal();
+                        self.engine.shard_signals[si].ring();
                     }
                     progressed
                 } else {
@@ -291,10 +298,11 @@ impl DetEngine {
             let t = obs.as_ref().map(|_| Instant::now());
             let verdict = self.engine.manager_iter(None, &mut st);
             if let (Some(o), Some(t)) = (&obs, t) {
-                o.manager.busy_ns.add(t.elapsed().as_nanos() as u64);
+                let ns = t.elapsed().as_nanos() as u64;
+                o.manager.busy_ns.add(ns.saturating_sub(std::mem::take(&mut st.shard_ns)));
             }
             self.fold_adapt_decisions();
-            let mut shard_progress = false;
+            let mut shard_progress = std::mem::take(&mut st.shard_progress);
             for (si, sh) in self.engine.shards.iter_mut().enumerate() {
                 let t = obs.as_ref().map(|_| Instant::now());
                 shard_progress |= sh.iterate();
@@ -390,9 +398,10 @@ impl DetEngine {
 /// out in sharded runs (at 64+ cores these picks dominate) and under
 /// zero-slack schemes (`slack_bound() == Some(0)`, i.e. CC), which also
 /// offer the manager only when nothing else can move: their report is
-/// the same under every schedule. Slack schemes keep the manager and,
-/// unsharded, every running core: their pick stream is what committed
-/// schedule seeds replay.
+/// the same under every schedule. Their coordinator serves the shards
+/// inside its own pass, so shards are never offered. Slack schemes keep
+/// the manager, signalled shards and, unsharded, every running core:
+/// their pick stream is what committed schedule seeds replay.
 fn runnable_tasks(
     runnable: &mut Vec<usize>,
     done: &[bool],
@@ -416,10 +425,10 @@ fn runnable_tasks(
     }
     if !zero_slack {
         runnable.push(n);
-    }
-    for (s, signal) in shard_signals.iter().enumerate() {
-        if signal.pending() {
-            runnable.push(n + 1 + s);
+        for (s, signal) in shard_signals.iter().enumerate() {
+            if signal.pending() {
+                runnable.push(n + 1 + s);
+            }
         }
     }
     if runnable.is_empty() {

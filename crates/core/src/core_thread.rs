@@ -450,7 +450,7 @@ impl CoreSim {
                     self.mark_shard_dirty(si);
                 } else {
                     if let Some(sig) = self.shard_signals.get(si) {
-                        sig.signal();
+                        sig.ring();
                     }
                     all = false;
                     break;
@@ -496,7 +496,7 @@ impl CoreSim {
             // shard is far behind — yield to it. If the simulation is
             // being torn down, drop the event.
             if let Some(sig) = self.shard_signals.get(si) {
-                sig.signal();
+                sig.ring();
             }
             self.drain_inq();
             if self.stop_seen {
@@ -1002,14 +1002,14 @@ impl CoreSim {
             board.signal_manager();
             if self.shards_touched_all {
                 for sig in &self.shard_signals {
-                    sig.signal();
+                    sig.ring();
                 }
             } else {
                 let mut touched = self.shards_touched;
                 while touched != 0 {
                     let si = touched.trailing_zeros() as usize;
                     touched &= touched - 1;
-                    self.shard_signals[si].signal();
+                    self.shard_signals[si].ring();
                 }
             }
         }
@@ -1040,9 +1040,12 @@ impl CoreSim {
                     // Clamp to the window: the skipped cycles are inert
                     // so the outcome is identical either way, but the
                     // clock must not escape the slack discipline (the
-                    // laggard's window is its own local + slack).
-                    let target =
-                        (ts - 1).min(board.max_local(self.id)).min(board.checkpoint_limit());
+                    // laggard's window is its own local + slack). The
+                    // window is the one this batch ran under, not a fresh
+                    // read: skipped cycles are not counted as stalls, so a
+                    // window the manager raised meanwhile would make
+                    // `stall_cycles` depend on host timing under CC.
+                    let target = (ts - 1).min(limit);
                     if target > self.local {
                         self.sync_jump(target);
                         board.jump_local_unclamped(self.id, target);

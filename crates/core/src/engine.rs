@@ -188,6 +188,14 @@ pub(crate) struct MgrState {
     /// lag is resolved by other host threads). Must stay `false` for the
     /// cooperative backend, whose shard tasks cannot run mid-iteration.
     spin_on_frontier: bool,
+    /// Cooperative backend under a zero-slack scheme: the coordinator
+    /// serves the shards itself (see [`Engine::serve_shards`]).
+    pub(crate) serve_shards: bool,
+    /// Host time of inline shard iterations (ns, telemetry only), booked to
+    /// the shards; the caller subtracts it from the manager's `busy_ns`.
+    pub(crate) shard_ns: u64,
+    /// An inline shard iteration did observable work.
+    pub(crate) shard_progress: bool,
 }
 
 impl MgrState {
@@ -198,6 +206,9 @@ impl MgrState {
             ready_streak: 0,
             ordered_scheme,
             spin_on_frontier: false,
+            serve_shards: false,
+            shard_ns: 0,
+            shard_progress: false,
         }
     }
 }
@@ -575,6 +586,10 @@ impl Engine {
                 self.engine.slack_profile_truncated += 1;
             }
         }
+        // Read before the drain: a core publishes its events before its
+        // parked state, so a core seen parked here has nothing left in its
+        // ring that this drain could miss (see `quiescent` below).
+        let idle_before_drain = self.board.active_count() == 0;
         let mut ingested = 0usize;
         let drain_t0 = obs.as_ref().map(|o| o.trace.now_us());
         for (c, q) in self.out_consumers.iter_mut().enumerate() {
@@ -599,8 +614,12 @@ impl Engine {
         // When no core is actively driving global time (all blocked in
         // sync calls / parked / finished), advance the processing
         // horizon to the earliest queued event so barrier arrivals can
-        // complete and release the waiters.
-        let quiescent = self.board.active_count() == 0;
+        // complete and release the waiters. Quiescence must hold from
+        // before the drain: a core that parks during it may have pushed
+        // an event this drain missed (say, a lock request at the same
+        // timestamp as the ones drained), and the raised horizon would
+        // then decide that contest by host timing.
+        let quiescent = idle_before_drain && self.board.active_count() == 0;
         let mut g_eff =
             if quiescent { self.uncore.min_pending_ts().map_or(g, |t| g.max(t)) } else { g };
         if let Some(c) = until {
@@ -615,6 +634,9 @@ impl Engine {
             self.uncore.process_all_upto(g_eff);
         } else {
             self.uncore.process_ready(g_eff);
+        }
+        if st.serve_shards {
+            self.serve_shards(g, st);
         }
         // Windows derive from the *true* global time: g_eff is only a
         // processing horizon and may sit on a future event timestamp —
@@ -645,11 +667,12 @@ impl Engine {
                     // shard's task cannot run until this iteration returns),
                     // but its pending flag must still be raised — the
                     // deterministic scheduler's signal-gated shard picks
-                    // would otherwise skip the very iterate that publishes
-                    // the frontier this window is clamped on.
+                    // (or, under zero slack, the next pass's inline
+                    // service) would otherwise skip the very iterate that
+                    // publishes the frontier this window is clamped on.
                     for (s, f) in self.shard_frontiers.iter().enumerate() {
                         if f.load(Ordering::Acquire) < g {
-                            self.shard_signals[s].signal();
+                            self.shard_signals[s].ring();
                         }
                     }
                 } else if fmin < g {
@@ -660,7 +683,7 @@ impl Engine {
                     for _ in 0..64 {
                         for (s, f) in self.shard_frontiers.iter().enumerate() {
                             if f.load(Ordering::Acquire) < g {
-                                self.shard_signals[s].signal();
+                                self.shard_signals[s].ring();
                             }
                         }
                         std::thread::yield_now();
@@ -741,7 +764,7 @@ impl Engine {
                 // here. Late application is liveness-only (see `MemShard`).
                 self.window_grant.store(w, Ordering::Release);
                 for sig in &self.shard_signals {
-                    sig.signal();
+                    sig.ring();
                 }
             }
             self.last_window = w;
@@ -785,6 +808,29 @@ impl Engine {
             return MgrVerdict::Finish;
         }
         MgrVerdict::Continue { ingested, deadlockable }
+    }
+
+    /// Serve the memory shards inside this manager pass: iterate every
+    /// shard that was signalled or whose frontier lags `g`. The
+    /// deterministic backend does this under zero-slack schemes, where no
+    /// schedule can change the report, so where a shard runs is free; as
+    /// separate tasks the shards cost about four scheduler picks and a
+    /// second, frontier-clamped manager pass per simulated cycle. Host
+    /// time is booked to each shard's `busy_ns`, not the manager's.
+    fn serve_shards(&mut self, g: u64, st: &mut MgrState) {
+        for (s, shard) in self.shards.iter_mut().enumerate() {
+            let signalled = self.shard_signals[s].take();
+            if !signalled && shard.frontier.load(Ordering::Acquire) >= g {
+                continue;
+            }
+            let t = self.obs.as_ref().map(|_| Instant::now());
+            st.shard_progress |= shard.iterate();
+            if let (Some(o), Some(t)) = (&self.obs, t) {
+                let ns = t.elapsed().as_nanos() as u64;
+                o.shards[s].busy_ns.add(ns);
+                st.shard_ns += ns;
+            }
+        }
     }
 
     /// Run one segment: spawn the core (and shard) threads, drive the
@@ -907,7 +953,7 @@ impl Engine {
             }
             self.board.stop_all();
             for sig in &self.shard_signals {
-                sig.signal();
+                sig.ring();
             }
 
             self.cores =

@@ -31,7 +31,6 @@ use crate::config::TargetConfig;
 use crate::msg::{GlobalEvent, InKind, InMsg, OutEvent, OutKind};
 use crate::scheme::{EventOrdering, Scheme};
 use crate::spsc::{Consumer, Producer};
-use parking_lot::{Condvar, Mutex};
 use sk_mem::l1::ReqKind;
 use sk_mem::Directory;
 use std::cmp::Reverse;
@@ -40,44 +39,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Wakeup channel for one shard manager.
-#[derive(Default)]
-pub struct ShardSignal {
-    pending: Mutex<bool>,
-    cond: Condvar,
-}
-
-impl ShardSignal {
-    /// Notify the shard that events are available.
-    pub fn signal(&self) {
-        let mut p = self.pending.lock();
-        *p = true;
-        self.cond.notify_one();
-    }
-
-    /// Consume the pending flag without blocking: true if a signal
-    /// arrived since the last `wait`/`take`. The deterministic backend
-    /// gates shard picks on this — an unsignalled shard has nothing to
-    /// do, so the scheduler skips its O(n_cores) ring scan.
-    pub fn take(&self) -> bool {
-        let mut p = self.pending.lock();
-        std::mem::replace(&mut *p, false)
-    }
-
-    /// Peek the pending flag without consuming it.
-    pub fn pending(&self) -> bool {
-        *self.pending.lock()
-    }
-
-    /// Park until signalled or `timeout`.
-    pub fn wait(&self, timeout: Duration) {
-        let mut p = self.pending.lock();
-        if !*p {
-            self.cond.wait_for(&mut p, timeout);
-        }
-        *p = false;
-    }
-}
+/// Wakeup channel for one shard manager: cores ring it after landing
+/// events, the coordinator after publishing a window grant or finding the
+/// shard's frontier behind global time. A shard thread sleeps on it; the
+/// deterministic backend only reads its pending flag — under slack schemes
+/// to gate shard picks, under zero-slack schemes (CC) to decide which
+/// shards its coordinator serves inline (see [`crate::backend`]).
+pub type ShardSignal = crate::clock::Doorbell;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct OrderedEv(GlobalEvent);
@@ -496,12 +464,26 @@ mod tests {
     #[test]
     fn signal_wakes_waiter() {
         let sig = Arc::new(ShardSignal::default());
-        sig.signal();
+        sig.ring();
         // Pending flag consumed without blocking.
-        sig.wait(Duration::from_secs(5));
+        assert!(sig.wait(Duration::from_secs(5)));
         // No pending: times out quickly.
         let t0 = std::time::Instant::now();
-        sig.wait(Duration::from_millis(1));
+        assert!(!sig.wait(Duration::from_millis(1)));
         assert!(t0.elapsed() >= Duration::from_micros(500));
+    }
+
+    /// A shard thread asleep on its signal wakes on a ring from another
+    /// thread well before its timeout (the threaded shard loop's path).
+    #[test]
+    fn sleeping_shard_wakes_on_ring() {
+        let sig = Arc::new(ShardSignal::default());
+        let s2 = sig.clone();
+        let t = std::thread::spawn(move || s2.wait(Duration::from_secs(5)));
+        while sig.sleepers() == 0 {
+            std::thread::yield_now();
+        }
+        sig.ring();
+        assert!(t.join().unwrap(), "the ring, not the timeout, ended the wait");
     }
 }

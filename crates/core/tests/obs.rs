@@ -1,9 +1,10 @@
 //! Telemetry-layer integration tests: cycle-neutrality of the hub,
-//! non-empty histograms under a slack scheme, and counter persistence
-//! through snapshot/restore.
+//! non-empty histograms under a slack scheme, shard occupancy on the
+//! deterministic backend, and counter persistence through
+//! snapshot/restore.
 
 use sk_core::engine::{Engine, RunOutcome};
-use sk_core::{CoreModel, Scheme, TargetConfig};
+use sk_core::{CoreModel, DetEngine, Scheme, TargetConfig};
 use sk_isa::{Program, ProgramBuilder, Reg, Syscall};
 use sk_obs::{Metrics, ObsConfig};
 use std::sync::Arc;
@@ -135,6 +136,27 @@ fn histograms_fill_under_bounded_slack() {
     assert!(json.contains("\"schema\":\"sk-obs-metrics\""));
     assert!(json.contains("\"utlb_hits\""));
     assert!(json.contains("\"run_batch\""));
+}
+
+/// Under CC the deterministic coordinator serves the shards inside its
+/// own pass; that work must still land on each shard's counters and
+/// `busy_ns`, or the scale-out occupancy columns would read zero.
+#[test]
+fn det_cc_books_inline_shard_work_to_the_shards() {
+    let program = counter_workload(4, 30);
+    let mut c = cfg(4);
+    c.mem_shards = 2;
+    let mut e = Engine::new(&program, Scheme::CycleByCycle, &c);
+    let obs = e.attach_new_metrics(ObsConfig::default());
+    let mut det = DetEngine::from_engine(e, 1);
+    det.run();
+    assert_eq!(det.into_report().printed().len(), 1);
+    for (s, sh) in obs.shards.iter().take(2).enumerate() {
+        assert!(sh.iterations.get() > 0, "shard {s} recorded no iterations");
+        assert!(sh.events.get() > 0, "shard {s} recorded no events");
+        assert!(sh.busy_ns.get() > 0, "shard {s} recorded no busy time");
+    }
+    assert!(obs.manager.iterations.get() > 0);
 }
 
 /// Counters survive the snapshot → resume path: the restored engine
